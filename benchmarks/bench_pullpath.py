@@ -11,13 +11,9 @@ Protocol
 --------
 * MCF (maximum clique) and TC (triangle count) on Erdos-Renyi graphs
   with n >= 5k at several densities.
-* Serial and process runs are *interleaved* (s, p, p', s, p, p', ...)
+* Serial and process runs are *interleaved* (s, p, s, p, ...)
   so slow drift in machine load hits every runtime equally; each wall
   time is the best of k rounds (scheduler jitter only ever adds time).
-  The process runtime runs under BOTH control planes —
-  ``control_plane='sweep'`` (the legacy synchronous probe loop) and
-  ``'async'`` (push-based status, master-bypass steals) — so the report
-  quantifies control-plane overhead directly.
 * Each runtime uses its best single-host configuration: the process
   runtime uses one worker per spare core (one worker total on 1-2 CPU
   hosts, where any speedup must come from overhead elimination alone).
@@ -26,14 +22,12 @@ Protocol
   all correct answers).
 
 The JSON report carries a top-level ``speedup_vs_serial.process``
-(the best MCF speedup across the measured n>=5k graphs), the pull-path
-evidence counters from one process run, and per-mode control-plane
-metric sets (``time:master_sweep_s``, ``time:control_idle_s``,
-``control:status_pushes``, ``steal:direct_batches``,
-``control:steal_plan_skipped``).  Exit status is non-zero if that
-headline speedup is < 1.0, any answer differs, or the async mode's
-master sweep time exceeds the sweep mode's on the headline MCF
-workload — the CI perf-smoke gate.
+(the best MCF speedup across the measured n>=5k graphs) and the
+pull-path and control-plane evidence counters from one process run.
+Exit status is non-zero if that headline speedup is < 1.0, any answer
+differs, or a process run stole more tasks than it created
+(``steal:tasks > tasks:created``, the signature of steal thrash) — the
+CI perf-smoke gate.
 
 Run::
 
@@ -66,19 +60,12 @@ EVIDENCE_KEYS = (
     "ipc:batches",
     "ipc:payload_bytes",
     "steal:tasks",
+    "tasks:created",
     "time:comm_flush_s",
     "time:comm_serve_s",
     "time:comm_land_s",
     "time:master_sweep_s",
     "time:control_idle_s",
-)
-
-#: Control-plane overhead counters reported per control_plane mode.
-CONTROL_KEYS = (
-    "time:master_sweep_s",
-    "time:control_idle_s",
-    "control:status_pushes",
-    "steal:direct_batches",
     "control:steal_plan_skipped",
 )
 
@@ -120,16 +107,12 @@ def bench_workload(app: str, n: int, avg_deg: int, seed: int,
     base_cfg = _config(num_workers=_process_workers(), n=n)
     points = (
         ("serial", "serial", serial_cfg),
-        ("process", "process",
-         base_cfg.with_updates(control_plane="sweep")),
-        ("process_async", "process",
-         base_cfg.with_updates(control_plane="async")),
+        ("process", "process", base_cfg),
     )
 
     walls = {label: float("inf") for label, _, _ in points}
     answers = {}
     evidence = {}
-    control = {}
     for _ in range(rounds):
         for label, runtime, cfg in points:
             started = time.perf_counter()
@@ -140,13 +123,8 @@ def bench_workload(app: str, n: int, avg_deg: int, seed: int,
             if label == "process":
                 evidence = {k: result.metrics.get(k, 0)
                             for k in EVIDENCE_KEYS}
-            if runtime == "process":
-                mode = cfg.control_plane
-                control[mode] = {k: result.metrics.get(k, 0)
-                                 for k in CONTROL_KEYS}
 
     speedup = walls["serial"] / walls["process"]
-    speedup_async = walls["serial"] / walls["process_async"]
     cpu_count = os.cpu_count() or 1
     row = {
         "app": app,
@@ -162,20 +140,16 @@ def bench_workload(app: str, n: int, avg_deg: int, seed: int,
         "speedup_valid": cpu_count >= 2,
         "serial_wall_s": round(walls["serial"], 4),
         "process_wall_s": round(walls["process"], 4),
-        "process_async_wall_s": round(walls["process_async"], 4),
         "speedup_vs_serial": round(speedup, 3),
-        "speedup_vs_serial_async": round(speedup_async, 3),
         "answers": answers,
-        "answers_equal": (answers["serial"] == answers["process"]
-                          == answers["process_async"]),
+        "answers_equal": answers["serial"] == answers["process"],
         "process_metrics": evidence,
-        "control_plane": control,
+        "steal_bound_ok": evidence["steal:tasks"] <= evidence["tasks:created"],
     }
     print(f"{app} n={n} deg={avg_deg}: serial={walls['serial']:.3f}s "
-          f"process={walls['process']:.3f}s "
-          f"async={walls['process_async']:.3f}s speedup={speedup:.2f}x "
-          f"sweep_s={control['sweep']['time:master_sweep_s']:.4f} vs "
-          f"{control['async']['time:master_sweep_s']:.4f} "
+          f"process={walls['process']:.3f}s speedup={speedup:.2f}x "
+          f"steal:tasks={evidence['steal:tasks']:.0f} "
+          f"tasks:created={evidence['tasks:created']:.0f} "
           f"answers_equal={row['answers_equal']}", flush=True)
     return row
 
@@ -211,29 +185,19 @@ def main(argv=None) -> int:
     # the CI gate additionally asserts it is true on >= 2 cores.
     speedup_valid = (os.cpu_count() or 1) >= 2
     assert all(r["speedup_valid"] == speedup_valid for r in rows)
-    sweep_time = {
-        mode: headline["control_plane"][mode]["time:master_sweep_s"]
-        for mode in ("sweep", "async")
-    }
-    async_sweep_ok = sweep_time["async"] <= sweep_time["sweep"]
+    steal_bound_ok = all(r["steal_bound_ok"] for r in rows)
     report = {
         "benchmark": "pull_path",
         "quick": args.quick,
         "cpu_count": os.cpu_count(),
         "process_workers": _process_workers(),
         "speedup_valid": speedup_valid,
-        "speedup_vs_serial": {
-            "process": headline["speedup_vs_serial"],
-            "process_async": headline["speedup_vs_serial_async"],
-        },
+        "speedup_vs_serial": {"process": headline["speedup_vs_serial"]},
         "headline": {"app": headline["app"],
                      "graph": headline["graph"],
-                     "speedup_vs_serial": headline["speedup_vs_serial"],
-                     "speedup_vs_serial_async":
-                         headline["speedup_vs_serial_async"],
-                     "master_sweep_s": sweep_time},
+                     "speedup_vs_serial": headline["speedup_vs_serial"]},
         "answers_equal": answers_equal,
-        "async_sweep_ok": async_sweep_ok,
+        "steal_bound_ok": steal_bound_ok,
         "workloads": rows,
     }
     with open(args.output, "w", encoding="ascii") as f:
@@ -266,11 +230,13 @@ def main(argv=None) -> int:
                   f"n={r['graph']['n']} deg={r['graph']['avg_deg']}: "
                   f"{r['answers']}")
         ok = False
-    if not async_sweep_ok:
-        print(f"FAIL: async control plane spent more master time than "
-              f"the legacy sweep on the headline MCF workload "
-              f"({sweep_time['async']:.4f}s > {sweep_time['sweep']:.4f}s)")
-        ok = False
+    for r in rows:
+        if not r["steal_bound_ok"]:
+            m = r["process_metrics"]
+            print(f"FAIL: {r['app']} n={r['graph']['n']} "
+                  f"deg={r['graph']['avg_deg']} stole more tasks than it "
+                  f"created ({m['steal:tasks']} > {m['tasks:created']})")
+            ok = False
     return 0 if ok else 1
 
 

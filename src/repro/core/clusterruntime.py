@@ -142,7 +142,6 @@ def _node_serve(
             bind_host=bind_host,
             metrics=metrics,
             max_batch_messages=config.ipc_batch_max_messages,
-            wire_format=config.ipc_wire_format,
             connect_timeout_s=config.cluster_connect_timeout_s,
         )
         channel.send_obj(("ready", node_id, f"{bind_host}:{transport.data_port}"))
@@ -172,7 +171,7 @@ def _node_serve(
         if global_value is not None:
             worker.aggregator.publish_global(global_value)
         injector = FailureInjector(config.failure_plan, node_id, incarnation)
-        session = NodeSession(worker, transport, injector, metrics, config)
+        session = NodeSession(worker, transport, injector, metrics)
 
         backoff = config.idle_sleep_s
         while True:
@@ -184,8 +183,7 @@ def _node_serve(
                 if session.done:
                     return
 
-            # Unsolicited notifications: the drained-edge ("wake", nid)
-            # in sweep mode, pushed status deltas in async mode.
+            # The unsolicited drained-edge ("wake", nid) notification.
             for push in session.pending_pushes():
                 channel.send_obj(push)
 
@@ -506,9 +504,8 @@ class _ClusterMaster(ControlPlaneMaster):
                 ) from exc
             self._raise_from_report(msg)
             if self._note_oob(node_id, msg):
-                # Unsolicited notification (wake or pushed status)
-                # racing a request-reply exchange; the reply we are
-                # waiting for is behind it.
+                # An unsolicited wake racing a request-reply exchange;
+                # the reply we are waiting for is behind it.
                 continue
             return msg
 
@@ -517,8 +514,8 @@ class _ClusterMaster(ControlPlaneMaster):
 
         Blocks up to ``timeout`` (in <=0.25s selector slices) for the
         first control frame, then consumes everything buffered on every
-        channel via the non-blocking ``drain_nowait``.  Out-of-band
-        messages route through ``_note_oob``; error reports raise final,
+        channel via the non-blocking ``drain_nowait``.  Wakes route
+        through ``_note_oob``; error reports raise final,
         channel loss raises as a recoverable machine loss.
         """
         deadline = time.monotonic() + timeout

@@ -58,28 +58,12 @@ class CommService:
         #: Cap on vertices per response batch so one huge request batch
         #: does not produce one giant message (MTU-ish chunking).
         self._response_chunk = cfg.response_chunk
-        self._bulk = cfg.bulk_cache_ops
 
     # -- comper-side -------------------------------------------------------
 
-    def queue_request(self, v: int) -> None:
-        """Append a vertex pull for batched transmission (dedup'd)."""
-        dst = self.worker.owner_of(v)
-        with self._lock:
-            pending = self._outgoing_sets[dst]
-            if v in pending:
-                duplicate = True
-            else:
-                duplicate = False
-                pending.add(v)
-                self._outgoing[dst].append(v)
-        if duplicate:
-            self.worker.metrics.add("comm:requests_deduped")
-        else:
-            self.worker.metrics.add("comm:requests_queued")
-
     def queue_requests(self, vertices: Sequence[int]) -> None:
-        """Bulk :meth:`queue_request`: one lock acquisition per call."""
+        """Queue vertex pulls for batched transmission, deduplicated per
+        destination; one lock acquisition per call."""
         if not vertices:
             return
         queued = 0
@@ -207,13 +191,7 @@ class CommService:
     def _receive_responses(self, msg: ResponseBatch) -> None:
         """Insert arrived vertices into the cache and wake waiting tasks."""
         t0 = time.perf_counter()
-        if self._bulk:
-            landed = self.worker.cache.insert_responses(msg.iter_rows())
-        else:
-            landed = [
-                (v, self.worker.cache.insert_response(v, label, adj))
-                for v, label, adj in msg.iter_rows()
-            ]
+        landed = self.worker.cache.insert_responses(msg.iter_rows())
         for v, waiting in landed:
             for task_id in waiting:
                 try:

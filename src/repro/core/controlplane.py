@@ -16,24 +16,10 @@ plane, many machines) drive the *same* protocol:
   settled state → snapshot every node → resume with the folded global;
 * bounded-restart **global rollback** recovery in :meth:`run`.
 
-Two coordination modes, selected by ``GThinkerConfig.control_plane``:
-
-* ``'sweep'`` (legacy, the oracle): the master drives a serial
-  round-robin request-reply ``sync`` probe over every node each period
-  and blocks on each reply — sweep cost is O(nodes) per round and
-  includes every node's burst latency.
-* ``'async'``: nodes *push* compact :class:`NodeStatus` deltas over the
-  control channel when their state changes materially (and in reply to
-  a fire-and-forget ``asweep`` aggregator broadcast); the master
-  consumes them from a single multiplexed event drain
-  (``_drain_events``) so per-round cost is O(active changes).  Steal
-  plans are published as fire-and-forget ``dsteal`` commands — the
-  ``B_task`` batch travels victim→thief directly over the data
-  transport, removing the two master round-trips per steal — and
-  termination is only *hinted* by the pushed table: the hint is always
-  confirmed by two legacy synchronous sweeps (the same Safra double
-  snapshot), so the termination proof is identical in both modes.
-  Checkpoints keep the synchronous quiesce/settle barrier unchanged.
+The master drives a serial round-robin request-reply ``sync`` probe
+over every node each period and plans steals from the replies; a node
+that drains sends one unsolicited ``("wake", id)`` so the confirming
+sweep runs at once instead of after a full period.
 
 This module holds that protocol once, in
 :class:`ControlPlaneMaster`, parameterised over a tiny plumbing surface
@@ -51,12 +37,13 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from .aggregator import GlobalAggregator
 from .checkpoint import JobCheckpoint, WorkerSnapshot, snapshot_worker
 from .config import FailurePlanConfig, GThinkerConfig
 from .errors import GThinkerError, JobAbortedError, WorkerProcessError
+from .master import plan_steals
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -188,7 +175,6 @@ class NodeSession:
         transport,
         injector: FailureInjector,
         metrics: MetricsRegistry,
-        config: Optional[GThinkerConfig] = None,
     ) -> None:
         self.worker = worker
         self.transport = transport
@@ -196,16 +182,7 @@ class NodeSession:
         self.metrics = metrics
         self.quiesced = False
         self.done = False
-        self.async_mode = config is not None and config.control_plane == "async"
-        # Push-based status state (async mode): deltas go out when the
-        # signature changes materially, rate-limited to a fraction of
-        # the sync period so a busy node cannot flood the control pipe.
         self._was_drained = False
-        self._last_push_sig = None
-        self._last_push_t = 0.0
-        self._push_interval = (
-            config.aggregator_sync_period_s / 4 if config is not None else 0.0
-        )
 
     def step(self) -> bool:
         """One comm step plus (unless quiesced) a burst of engine steps.
@@ -262,7 +239,7 @@ class NodeSession:
         transport = self.transport
         worker.flush_for_status()
         transport.flush_outgoing()
-        status = NodeStatus(
+        return NodeStatus(
             worker_id=worker.worker_id,
             tasks_in_memory=worker.tasks_in_memory(),
             tasks_on_disk=len(worker.l_file),
@@ -275,50 +252,17 @@ class NodeSession:
             workload=worker.remaining_workload_estimate(),
             partial=worker.aggregator.take_partial(),
         )
-        self._last_push_sig = self._status_signature()
-        self._last_push_t = time.monotonic()
-        return status
-
-    def _status_signature(self):
-        """Compact view of the state the master plans from.
-
-        A push goes out only when this changes: the components are the
-        drain predicate's inputs plus the workload estimate quantised to
-        batch granularity (so per-task progress does not look material).
-        """
-        worker = self.worker
-        batch = max(1, worker.config.task_batch_size)
-        return (
-            self.drained(),
-            worker.tasks_in_memory() == 0,
-            len(worker.l_file),
-            worker.unspawned_count() == 0,
-            worker.remaining_workload_estimate() // batch,
-        )
 
     def pending_pushes(self) -> List[Any]:
         """Unsolicited messages the serve loop should send now.
 
-        Sweep mode keeps the legacy behaviour — one ``("wake", id)`` on
-        the busy→drained edge so the master runs its confirming sweep
-        early.  Async mode sends a full status delta whenever the
-        signature changed and either the drain edge fired or the
-        rate-limit interval elapsed; the master folds the carried
-        partial and updates its status table without ever probing.
+        One ``("wake", id)`` on the busy→drained edge, so the master
+        runs its confirming sweep early instead of after a full period.
         """
         drained = self.drained()
         edge = drained and not self._was_drained
         self._was_drained = drained
-        if not self.async_mode:
-            return [("wake", self.worker.worker_id)] if edge else []
-        if self.quiesced:
-            return []
-        sig = self._status_signature()
-        if sig == self._last_push_sig:
-            return []
-        if not edge and time.monotonic() - self._last_push_t < self._push_interval:
-            return []
-        return [("status", self._build_status())]
+        return [("wake", self.worker.worker_id)] if edge else []
 
     def handle(self, cmd):
         """Execute one control command; returns the reply to send back.
@@ -337,34 +281,6 @@ class NodeSession:
             self.injector.fire("sync")
             worker.aggregator.publish_global(cmd[1])
             return self._build_status()
-        if tag == "asweep":
-            # The async-mode aggregator broadcast: same wire effects as
-            # "sync" (including the injector event, so the kill matrix
-            # carries over), but the reply is tagged so the master's
-            # multiplexed drain routes it like any other push.
-            self.injector.fire("sync")
-            worker.aggregator.publish_global(cmd[1])
-            return ("status", self._build_status())
-        if tag == "dsteal":
-            # Master-bypass steal: ship the batch straight to the thief
-            # over the data transport (no master round-trip), then push
-            # a status so the master's plan table self-corrects.
-            self.injector.fire("steal")
-            _tag, thief_id, max_tasks = cmd
-            payload_info = worker.l_file.take_payload()
-            if payload_info is None:
-                payload_info = worker.spawn_batch_payload(max_tasks)
-            if payload_info is not None:
-                payload, moved = payload_info
-                transport.send(TaskBatchTransfer(
-                    src=worker.worker_id, dst=thief_id,
-                    payload=payload, num_tasks=moved,
-                ))
-                transport.flush_outgoing()
-                self.metrics.add("steal:direct_batches")
-                self.metrics.add("steal:batches")
-                self.metrics.add("steal:tasks", moved)
-            return ("status", self._build_status())
         if tag == "steal":
             self.injector.fire("steal")
             _tag, thief_id, max_tasks = cmd
@@ -464,11 +380,11 @@ class ControlPlaneMaster:
         #: :meth:`_wait_for_wake` returns immediately while it is set,
         #: so a wake that arrived mid-sweep is never slept through.
         self._pending_wake = False
-        #: Async-mode pushed-status table (``None`` while inactive).
-        self._status_table: Optional[List[Optional[NodeStatus]]] = None
-        self._status_heard: Optional[List[float]] = None
-        self._status_dirty = False
-        self._last_steal_key = None
+        #: Steal-plan state, reset with every (re)start of the job loop:
+        #: the memo key of the last planned ``(worker, workload)`` view,
+        #: and the pairs that moved work in the last plan (hysteresis).
+        self._last_steal_key: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._last_steal_pairs: FrozenSet[Tuple[int, int]] = frozenset()
 
     # -- plumbing the backend must provide --------------------------------
 
@@ -500,32 +416,12 @@ class ControlPlaneMaster:
     def _note_oob(self, node_id: int, msg) -> bool:
         """Consume one out-of-band (unsolicited) control message.
 
-        Returns True when ``msg`` was an OOB notification — a ``wake``
-        or a pushed ``status`` — and False when it is a synchronous
-        reply the caller was waiting for.  Pushed partials are folded
-        here exactly once (the node's ``take_partial`` swapped them out,
-        so they exist nowhere else) and then cleared before the status
-        is stored, so a later re-read cannot double-fold.
+        Returns True when ``msg`` was a ``("wake", nid)`` notification
+        and False when it is a synchronous reply the caller was waiting
+        for.
         """
-        if not (isinstance(msg, tuple) and msg):
-            return False
-        tag = msg[0]
-        if tag == "wake":
+        if isinstance(msg, tuple) and msg and msg[0] == "wake":
             self._pending_wake = True
-            if self._status_heard is not None:
-                self._status_heard[node_id] = time.monotonic()
-            return True
-        if tag == "status":
-            status = msg[1]
-            self._pending_wake = True
-            self.global_aggregator.fold(status.partial)
-            status.partial = None
-            self.metrics.add("control:status_pushes")
-            if self._status_table is not None:
-                self._status_table[status.worker_id] = status
-                self._status_dirty = True
-            if self._status_heard is not None:
-                self._status_heard[node_id] = time.monotonic()
             return True
         return False
 
@@ -565,13 +461,10 @@ class ControlPlaneMaster:
         return statuses
 
     def _plan_steals(self, statuses: List[NodeStatus]) -> None:
-        """Workload-proportional steal plan with ping-pong hysteresis.
+        """One :func:`~repro.core.master.plan_steals` round over the sweep.
 
-        Mirrors :meth:`repro.core.master.Master._plan_and_execute_steals`:
-        the per-pair transfer is ``max(batch, gap // 4)`` capped at
-        ``steal_batches`` batches (halving the gap without overshoot),
-        and a pair that moved work one way in the previous sweep is not
-        reversed in this one.
+        Each move is a ``steal`` request-reply with the victim, which
+        ships the batch to the thief over the data transport.
         """
         if not self.config.steal_enabled or len(statuses) < 2:
             return
@@ -583,31 +476,23 @@ class ControlPlaneMaster:
             self.metrics.add("control:steal_plan_skipped")
             return
         self._last_steal_key = key
-        estimates = [[s.workload, s.worker_id] for s in statuses]
-        batch = self.config.task_batch_size
-        cap = self.config.steal_batches * batch
-        prev_pairs = getattr(self, "_last_steal_pairs", frozenset())
-        pairs = set()
-        for _ in range(self.config.steal_batches):
-            estimates.sort()
-            low, high = estimates[0], estimates[-1]
-            gap = high[0] - low[0]
-            if gap <= 2 * batch:
-                break
-            if (low[1], high[1]) in prev_pairs:
-                break
-            amount = max(batch, min(gap // 4, cap))
-            self._send(high[1], ("steal", low[1], amount))
-            reply = self._recv(high[1])
+
+        def move(victim: int, thief: int, amount: int) -> int:
+            self._send(victim, ("steal", thief, amount))
+            reply = self._recv(victim)
             moved = reply[1] if isinstance(reply, tuple) else 0
-            if moved == 0:
-                break
-            pairs.add((high[1], low[1]))
-            low[0] += moved
-            high[0] -= moved
-            self.metrics.add("steal:batches")
-            self.metrics.add("steal:tasks", moved)
-        self._last_steal_pairs = frozenset(pairs)
+            if moved:
+                self.metrics.add("steal:batches")
+                self.metrics.add("steal:tasks", moved)
+            return moved
+
+        self._last_steal_pairs = plan_steals(
+            [(s.workload, s.worker_id) for s in statuses],
+            self._last_steal_pairs,
+            self.config.task_batch_size,
+            self.config.steal_batches,
+            move,
+        )
 
     def _checkpoint(self) -> None:
         """The sync-barrier checkpoint protocol.
@@ -709,7 +594,11 @@ class ControlPlaneMaster:
         sweeps = 0
         sweep_wait = self.config.idle_sleep_s
         self._pending_wake = False
+        # A (re)start — first run or after a rollback — plans from a
+        # fresh view: neither the memo nor the hysteresis of the lost
+        # incarnation describes the restored nodes.
         self._last_steal_key = None
+        self._last_steal_pairs = frozenset()
         while True:
             if self.abort is not None:
                 # The unwind reaches the executor's ``finally``, which
@@ -755,157 +644,13 @@ class ControlPlaneMaster:
 
         return self._finalize()
 
-    # -- async (event-driven) protocol ------------------------------------
-
-    def _plan_steals_async(self) -> None:
-        """Publish the steal plan as fire-and-forget ``dsteal`` commands.
-
-        Same proportional math and hysteresis as :meth:`_plan_steals`,
-        but the master never waits for a reply: the victim ships the
-        batch straight to the thief over the data transport and pushes a
-        corrective status.  The local table is updated optimistically so
-        a stale view does not replan the same transfer every drain.
-        """
-        statuses = [s for s in self._status_table if s is not None]
-        if not self.config.steal_enabled or len(statuses) < 2:
-            return
-        key = tuple(sorted((s.worker_id, s.workload) for s in statuses))
-        if key == self._last_steal_key:
-            self.metrics.add("control:steal_plan_skipped")
-            return
-        self._last_steal_key = key
-        estimates = [[s.workload, s.worker_id] for s in statuses]
-        batch = self.config.task_batch_size
-        cap = self.config.steal_batches * batch
-        prev_pairs = getattr(self, "_last_steal_pairs", frozenset())
-        pairs = set()
-        by_id = {s.worker_id: s for s in statuses}
-        for _ in range(self.config.steal_batches):
-            estimates.sort()
-            low, high = estimates[0], estimates[-1]
-            gap = high[0] - low[0]
-            if gap <= 2 * batch:
-                break
-            if (low[1], high[1]) in prev_pairs:
-                break
-            amount = max(batch, min(gap // 4, cap))
-            self._send(high[1], ("dsteal", low[1], amount))
-            pairs.add((high[1], low[1]))
-            # Optimistic accounting: assume the full amount moves.  The
-            # victim's corrective status push overwrites this shortly;
-            # meanwhile it keeps a stale table from replanning the same
-            # pair.  The node counts steal:batches/tasks when the batch
-            # actually moves, so master-side metrics stay honest.
-            low[0] += amount
-            high[0] -= amount
-            by_id[high[1]].workload = max(0, by_id[high[1]].workload - amount)
-        self._last_steal_pairs = frozenset(pairs)
-
-    def _termination_hint(self) -> bool:
-        """True when the pushed table *suggests* global quiescence.
-
-        Only a hint: pushed statuses are from different instants, so the
-        caller always confirms with two synchronous legacy sweeps (the
-        authoritative Safra double snapshot) before stopping.
-        """
-        table = self._status_table
-        if table is None or any(s is None for s in table):
-            return False
-        return self._statuses_idle([s for s in table if s is not None])
-
-    def _run_async(self) -> List[NodeFinal]:
-        """Event-driven master loop (``control_plane='async'``).
-
-        Per iteration: drain pushed events (blocking only until the
-        first message or the next broadcast deadline), replan steals
-        when the table changed, broadcast the aggregate at the sync
-        cadence without waiting for replies, and — only when the pushed
-        table hints at quiescence — run the legacy double-sweep
-        termination proof.  Checkpoints reuse the synchronous barrier
-        verbatim.
-        """
-        period = self.config.aggregator_sync_period_s
-        n = self.num_nodes
-        self._status_table = [None] * n
-        self._status_heard = [time.monotonic()] * n
-        self._status_dirty = False
-        self._pending_wake = False
-        self._last_steal_key = None
-        sweeps = 0
-        next_sync = time.monotonic()  # first broadcast immediately
-        try:
-            while True:
-                if self.abort is not None:
-                    self.abort.raise_if_set()
-                now = time.monotonic()
-                if now > self._deadline:
-                    raise GThinkerError(f"job exceeded {self.join_timeout_s}s")
-                if now >= next_sync:
-                    t0 = time.perf_counter()
-                    value = self.global_aggregator.value
-                    for nid in range(n):
-                        self._send(nid, ("asweep", value))
-                    self.metrics.add("time:master_sweep_s",
-                                     time.perf_counter() - t0)
-                    sweeps += 1
-                    next_sync = now + period
-                    every = self.config.checkpoint_every_syncs
-                    if every > 0 and sweeps % every == 0:
-                        self._checkpoint()
-                    if (self.abort_after_rounds is not None
-                            and sweeps >= self.abort_after_rounds):
-                        raise JobAbortedError(
-                            f"job aborted after {sweeps} sync sweeps"
-                        )
-                # Every asweep elicits a status reply, so a node that
-                # stays silent for a full reply timeout is dead or hung.
-                stale = time.monotonic() - self.config.control_reply_timeout_s
-                for nid in range(n):
-                    if self._status_heard[nid] < stale:
-                        raise WorkerProcessError(
-                            nid,
-                            "no status heard for "
-                            f"{self.config.control_reply_timeout_s}s",
-                            recoverable=True,
-                        )
-                wait = max(0.0, min(next_sync - time.monotonic(), 0.25))
-                t0 = time.perf_counter()
-                self._drain_events(wait)
-                self.metrics.add("time:control_idle_s",
-                                 time.perf_counter() - t0)
-                self._pending_wake = False
-                if self._status_dirty:
-                    self._status_dirty = False
-                    self._plan_steals_async()
-                    if self._termination_hint():
-                        # Confirm with the authoritative synchronous
-                        # double snapshot; pushed statuses interleaved
-                        # with the sweep replies are routed by _recv.
-                        first = self._sweep()
-                        if self._statuses_idle(first):
-                            second = self._sweep()
-                            if (self._statuses_idle(second)
-                                    and sum(s.progress for s in first)
-                                    == sum(s.progress for s in second)):
-                                break
-                        self._last_steal_key = None
-        finally:
-            self._status_table = None
-            self._status_heard = None
-        return self._finalize()
-
     def run(self) -> List[NodeFinal]:
         """Drive the job to completion, recovering lost nodes."""
         self._deadline = time.monotonic() + self.join_timeout_s
-        runner = (
-            self._run_async
-            if self.config.control_plane == "async"
-            else self._run_to_completion
-        )
         attempts = 0
         while True:
             try:
-                return runner()
+                return self._run_to_completion()
             except WorkerProcessError as exc:
                 attempts += 1
                 if not exc.recoverable or attempts > self.config.max_worker_restarts:

@@ -14,13 +14,57 @@ task being mid-flight between containers during the first snapshot.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..net.message import TaskBatchTransfer
 from .aggregator import GlobalAggregator
 from .worker import Worker
 
-__all__ = ["Master"]
+__all__ = ["Master", "plan_steals"]
+
+
+def plan_steals(
+    estimates: Iterable[Tuple[int, int]],
+    prev_pairs: FrozenSet[Tuple[int, int]],
+    batch: int,
+    steal_batches: int,
+    move: Callable[[int, int, int], int],
+) -> FrozenSet[Tuple[int, int]]:
+    """Workload-proportional steal plan with ping-pong hysteresis.
+
+    The one steal planner of every runtime.  ``estimates`` holds
+    ``(workload, worker_id)`` pairs; each step pairs the least- and
+    most-loaded workers and calls ``move(victim, thief, amount)``, which
+    performs the transfer and returns how many tasks actually moved.
+    The amount is about a quarter of the victim/thief gap (moving ``m``
+    tasks shrinks the gap by ``2m``, so ``gap // 4`` halves it without
+    overshooting), at least one batch, capped at ``steal_batches``
+    batches; at most ``steal_batches`` moves happen per plan.  A pair
+    that moved work one way in the previous plan (``prev_pairs`` holds
+    ``(victim, thief)``) is not reversed in this one, so near-balanced
+    workers stop trading the same batch back and forth.  Returns the
+    pairs that moved work, the ``prev_pairs`` of the next plan.
+    """
+    loads = [[workload, wid] for workload, wid in estimates]
+    cap = steal_batches * batch
+    pairs = set()
+    for _ in range(steal_batches):
+        loads.sort()
+        low, high = loads[0], loads[-1]
+        gap = high[0] - low[0]
+        if gap <= 2 * batch:
+            break
+        if (low[1], high[1]) in prev_pairs:
+            # Hysteresis: the last plan moved work low -> high; shipping
+            # it straight back would ping-pong.
+            break
+        moved = move(high[1], low[1], max(batch, min(gap // 4, cap)))
+        if moved == 0:
+            break
+        pairs.add((high[1], low[1]))
+        low[0] += moved
+        high[0] -= moved
+    return frozenset(pairs)
 
 
 class Master:
@@ -36,6 +80,9 @@ class Master:
         self._prev_idle = False
         self._prev_progress = -1
         self._sync_count = 0
+        #: Pairs ``(victim, thief)`` that moved work in the last plan —
+        #: the hysteresis input of the next :func:`plan_steals`.
+        self._last_steal_pairs: FrozenSet[Tuple[int, int]] = frozenset()
         self.checkpoint_hook = None  # set by the job when checkpointing is on
         #: Cooperative-cancellation token (``AbortToken`` or None), set
         #: by the executor before driving.  Checked at the top of every
@@ -85,42 +132,22 @@ class Master:
     # -- work stealing --------------------------------------------------------
 
     def _plan_and_execute_steals(self, now: float) -> None:
-        """Workload-proportional stealing with ping-pong hysteresis.
+        """One :func:`plan_steals` round over the workers' estimates."""
 
-        The transfer amount is about a quarter of the victim/thief gap
-        (moving ``m`` tasks shrinks the gap by ``2m``, so ``gap // 4``
-        halves it without overshooting), at least one batch, capped at
-        ``steal_batches`` batches.  A pair that moved work one way in
-        the previous sync is not reversed in this one, so near-balanced
-        workers stop trading the same batch back and forth.
-        """
-        estimates = [(w.remaining_workload_estimate(), w.worker_id) for w in self.workers]
-        batch = self.config.task_batch_size
-        cap = self.config.steal_batches * batch
-        prev_pairs = getattr(self, "_last_steal_pairs", frozenset())
-        pairs = set()
-        for _ in range(self.config.steal_batches):
-            estimates.sort()
-            low_est, low_id = estimates[0]
-            high_est, high_id = estimates[-1]
-            gap = high_est - low_est
-            if gap <= 2 * batch:
-                break
-            if (low_id, high_id) in prev_pairs:
-                # Hysteresis: last sync moved work low_id -> high_id;
-                # shipping it straight back would ping-pong.
-                break
-            amount = max(batch, min(gap // 4, cap))
-            victim = self.workers[high_id]
-            moved = self._steal_one_batch(victim, low_id, now, amount)
-            if moved == 0:
-                break
-            pairs.add((high_id, low_id))
-            estimates[0] = (low_est + moved, low_id)
-            estimates[-1] = (high_est - moved, high_id)
-            self.metrics.add("steal:batches")
-            self.metrics.add("steal:tasks", moved)
-        self._last_steal_pairs = frozenset(pairs)
+        def move(victim: int, thief: int, amount: int) -> int:
+            moved = self._steal_one_batch(self.workers[victim], thief, now, amount)
+            if moved:
+                self.metrics.add("steal:batches")
+                self.metrics.add("steal:tasks", moved)
+            return moved
+
+        self._last_steal_pairs = plan_steals(
+            [(w.remaining_workload_estimate(), w.worker_id) for w in self.workers],
+            self._last_steal_pairs,
+            self.config.task_batch_size,
+            self.config.steal_batches,
+            move,
+        )
 
     def _steal_one_batch(
         self, victim: Worker, thief_id: int, now: float,

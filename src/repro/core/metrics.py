@@ -121,17 +121,12 @@ class CacheStats:
 class ControlPlaneStats:
     """Typed view of the control-plane counters in a metrics snapshot.
 
-    ``master_sweep_s`` is the master's time inside sweep/broadcast
-    protocol work; ``control_idle_s`` its time blocked waiting for
-    control events.  ``status_pushes`` counts node-pushed status deltas
-    consumed by the master (async mode), ``direct_steal_batches`` the
-    worker-to-worker ``dsteal`` batch transfers that bypassed the
-    master, and ``steal_plan_skipped`` the memoized steal-plan rounds
-    skipped because no workload estimate changed.
+    ``master_sweep_s`` is the master's time inside sync sweeps;
+    ``control_idle_s`` its time blocked waiting for control events.
+    ``steal_plan_skipped`` counts the memoized steal-plan rounds skipped
+    because no workload estimate changed.
     """
 
-    status_pushes: int
-    direct_steal_batches: int
     steal_plan_skipped: int
     master_sweep_s: float
     control_idle_s: float
@@ -183,8 +178,6 @@ class MetricsAccessors:
     def control_plane_stats(self) -> ControlPlaneStats:
         m = self.metrics
         return ControlPlaneStats(
-            status_pushes=int(m.get("control:status_pushes", 0)),
-            direct_steal_batches=int(m.get("steal:direct_batches", 0)),
             steal_plan_skipped=int(m.get("control:steal_plan_skipped", 0)),
             master_sweep_s=float(m.get("time:master_sweep_s", 0.0)),
             control_idle_s=float(m.get("time:control_idle_s", 0.0)),

@@ -163,7 +163,6 @@ def _worker_main(
             data_queues,
             metrics=metrics,
             max_batch_messages=config.ipc_batch_max_messages,
-            wire_format=config.ipc_wire_format,
         )
         worker = Worker(
             worker_id=worker_id,
@@ -185,14 +184,13 @@ def _worker_main(
         if global_value is not None:
             worker.aggregator.publish_global(global_value)
         injector = FailureInjector(config.failure_plan, worker_id, incarnation)
-        session = NodeSession(worker, transport, injector, metrics, config)
+        session = NodeSession(worker, transport, injector, metrics)
 
         # Adaptive idle wait: back off exponentially while nothing
         # happens, waking promptly on either a control command or an
         # incoming data-queue message (selected together via
-        # multiprocessing.connection.wait).  Unsolicited notifications —
-        # the drained-edge ("wake", wid) in sweep mode, pushed status
-        # deltas in async mode — come from session.pending_pushes().
+        # multiprocessing.connection.wait).  The unsolicited drained-edge
+        # ("wake", wid) notification comes from session.pending_pushes().
         backoff = config.idle_sleep_s
 
         while True:
@@ -381,9 +379,8 @@ class _ProcessMaster(ControlPlaneMaster):
                 wid, f"{exc_type} raised:\n{tb}", recoverable=False
             )
         if self._note_oob(worker_id, msg):
-            # Unsolicited notification (wake or pushed status) racing a
-            # request-reply exchange; the reply we are waiting for is
-            # still behind it.
+            # An unsolicited wake racing a request-reply exchange; the
+            # reply we are waiting for is still behind it.
             return self._recv(worker_id, timeout)
         return msg
 
@@ -418,8 +415,8 @@ class _ProcessMaster(ControlPlaneMaster):
         """Multiplexed control-event drain over every worker's pipe.
 
         Blocks up to ``timeout`` for the *first* message, then consumes
-        everything already buffered.  Out-of-band messages (wakes,
-        pushed statuses) route through ``_note_oob``; anything else is
+        everything already buffered.  Wakes route through
+        ``_note_oob``; anything else is
         an error report (raised final) or a pipe closure/dead process
         (raised as a recoverable loss).  Real protocol replies cannot
         appear: the control plane is strictly request-reply outside

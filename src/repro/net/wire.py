@@ -18,9 +18,8 @@ format built around ``ndarray.tobytes()`` / ``np.frombuffer``:
   rows; rows are recovered by slicing at the cumulative-degree offsets;
 * message types without a dedicated frame (and any future ones) travel
   as pickled sub-frames, so the codec never rejects a message;
-* :func:`decode_batch` sniffs the magic and falls back to
-  ``pickle.loads`` for payloads produced by the ``"pickle"`` wire
-  format, so mixed-version runs stay decodable.
+* :func:`decode_batch` rejects any payload that does not start with
+  :data:`MAGIC` — a whole-batch pickle is never unpickled.
 
 The decoded adjacency arrays are read-only views into the received
 bytes object; like the ``SharedCSR`` views, they stay valid as long as
@@ -182,21 +181,16 @@ def _pickle_loads(raw: bytes, what: str):
 def decode_batch(payload: bytes) -> List[Message]:
     """Decode one transport payload back into a list of messages.
 
-    Payloads not starting with :data:`MAGIC` are assumed to be pickled
-    batches (``wire_format="pickle"``) and handed to ``pickle.loads``.
-    Any malformed input — truncated frames, counts or lengths pointing
-    past the buffer end, negative counts, bad magic with unpicklable
-    fallback bytes — raises :class:`WireDecodeError` rather than leaking
-    ``struct.error`` / ``UnpicklingError`` / raw ``ValueError``.
+    Any malformed input — a missing :data:`MAGIC`, truncated frames,
+    counts or lengths pointing past the buffer end, negative counts —
+    raises :class:`WireDecodeError` rather than leaking ``struct.error``
+    / ``UnpicklingError`` / raw ``ValueError``.
     """
     if payload[:8] != MAGIC:
-        decoded = _pickle_loads(payload, "non-GTWIRE payload")
-        if not isinstance(decoded, list):
-            raise WireDecodeError(
-                f"pickled payload is {type(decoded).__name__}, expected a "
-                f"message batch (list)"
-            )
-        return decoded
+        raise WireDecodeError(
+            f"payload does not start with the GTWIRE magic "
+            f"(got {bytes(payload[:8])!r})"
+        )
     cur = _Cursor(payload, 8)
     count = _checked_count(cur.read_ints(1, "message count")[0], "message count")
     out: List[Message] = []

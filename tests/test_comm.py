@@ -37,8 +37,8 @@ def test_queue_and_flush_batches():
     (cluster, g) = make_cluster()
     w0 = cluster.workers[0]
     v = remote_vertex_of(w0, g)
-    w0.comm.queue_request(v)
-    w0.comm.queue_request(v)  # second pull of the same vertex is deduped
+    w0.comm.queue_requests([v])
+    w0.comm.queue_requests([v])  # second pull of the same vertex is deduped
     assert w0.comm.pending_outgoing() == 1
     assert cluster.metrics.get("comm:requests_deduped") == 1
     assert cluster.metrics.get("comm:requests_queued") == 1
@@ -60,7 +60,7 @@ def test_queue_requests_bulk_dedups_across_destinations():
     # The dedup window resets at flush: a re-request after the batch is
     # on the wire queues again (the R-table suppresses real duplicates).
     w0.comm.step()
-    w0.comm.queue_request(remote[0])
+    w0.comm.queue_requests([remote[0]])
     assert w0.comm.pending_outgoing() == 1
 
 

@@ -165,3 +165,15 @@ def test_config_frozen():
     cfg = GThinkerConfig()
     with pytest.raises(Exception):
         cfg.num_workers = 9  # dataclass(frozen=True)
+
+
+@pytest.mark.parametrize("removed", [
+    dict(control_plane="sweep"),
+    dict(bulk_cache_ops=True),
+    dict(ipc_wire_format="binary"),
+], ids=["control_plane", "bulk_cache_ops", "ipc_wire_format"])
+def test_removed_knobs_raise_type_error(removed):
+    """The async control plane, the per-vertex cache-op path and the
+    pickle IPC format are gone; their knobs are unknown keywords now."""
+    with pytest.raises(TypeError):
+        GThinkerConfig(**removed)

@@ -259,35 +259,28 @@ def _matrix_cfg(plan, **kw):
 
 
 @pytest.mark.faultmatrix
-@pytest.mark.parametrize("control_plane", ["sweep", "async"])
 @pytest.mark.parametrize("victim", [0, 1])
 @pytest.mark.parametrize("event,at_count", [
     ("spawn", 3),   # 3rd round observing a partially advanced cursor
     ("spill", 1),   # 1st round observing a spilled batch in L_file
     ("steal", 1),   # on receiving the 1st steal command
 ])
-def test_kill_matrix_matches_oracle(event, at_count, victim, control_plane):
-    # Both control planes run the full matrix: the async mode fires the
-    # same injector events ("sync" on the asweep broadcast, "steal" on
-    # the fire-and-forget dsteal command), so each kill point is
-    # exercised under push-based coordination too.  The spawn/spill rows
-    # run with stealing off and pops fully gated on pending work
-    # (pending_threshold=0): those kill points trigger on *local* queue
-    # pressure, and the async plane's lower pull latency (early direct
-    # steals, more frequent status flushes) otherwise drains Q_task fast
-    # enough that the victim may never spill, leaving the plan unfired
+def test_kill_matrix_matches_oracle(event, at_count, victim):
+    # The spawn/spill rows run with stealing off and pops fully gated on
+    # pending work (pending_threshold=0): those kill points trigger on
+    # *local* queue pressure, and early steals can otherwise drain Q_task
+    # fast enough that the victim never spills, leaving the plan unfired
     # (stealing has its own dedicated rows).
     graph = _skewed_graph(victim) if event == "steal" else _spill_graph()
     plan = FailurePlanConfig(kill_worker=victim, when=event,
                              at_count=at_count)
     if event == "steal":
-        config = _matrix_cfg(plan, control_plane=control_plane)
+        config = _matrix_cfg(plan)
     else:
-        config = _matrix_cfg(plan, control_plane=control_plane,
-                             steal_enabled=False, pending_threshold=0)
+        config = _matrix_cfg(plan, steal_enabled=False, pending_threshold=0)
     res = run_job(MaxCliqueComper, graph, config, runtime="process")
     _assert_is_max_clique(graph, res.aggregate)
     assert res.metrics.get("ft:recoveries", 0) >= 1, (
-        f"kill plan ({event}, worker {victim}, {control_plane}) never "
+        f"kill plan ({event}, worker {victim}) never "
         f"fired - vacuous row"
     )

@@ -2,9 +2,9 @@
 the adaptive scheduling knobs (idle backoff, proportional steals).
 
 These are the metrics-backed guarantees behind ``bench_pullpath.py``:
-the bulk pull path must do the *same work* as the per-vertex path with
-strictly fewer bucket-lock acquisitions, and request/serve dedup must
-put strictly fewer messages on the wire.
+the bulk pull path must do the *same work* as its per-vertex
+decomposition with strictly fewer bucket-lock acquisitions, and
+request/serve dedup must put strictly fewer messages on the wire.
 """
 
 import pytest
@@ -26,22 +26,23 @@ def cfg(**kw):
     return GThinkerConfig(**base)
 
 
-# -- bulk vs per-vertex: same answer, fewer lock acquisitions -----------------
+# -- bulk cache ops: same answer, fewer lock acquisitions --------------------
 
 
 def test_bulk_path_takes_strictly_fewer_bucket_locks():
+    """The checked cache applies every bulk call as its per-vertex
+    OP1/OP2/OP3 sequence, so a checked run takes exactly the locks a
+    per-vertex pull path would; the plain bulk run must take fewer."""
     g = erdos_renyi(80, 0.15, seed=21)
     expected = count_triangles(g)
-    bulk = run_job(TriangleCountComper, g, cfg(bulk_cache_ops=True))
-    per_vertex = run_job(TriangleCountComper, g, cfg(bulk_cache_ops=False))
+    bulk = run_job(TriangleCountComper, g, cfg())
+    per_vertex = run_job(TriangleCountComper, g, cfg(check_protocols=True))
     assert bulk.aggregate == per_vertex.aggregate == expected
     a = bulk.metrics.get("cache:bucket_lock_acquisitions")
     b = per_vertex.metrics.get("cache:bucket_lock_acquisitions")
     assert a and b, "lock metric missing from job results"
     if cfg().check_enabled:
-        # CheckedVertexCache decomposes every bulk call into the checked
-        # per-vertex ops — that decomposition *is* the equivalence
-        # contract — so under REPRO_CHECK=1 the counts match exactly.
+        # Under REPRO_CHECK=1 both runs decompose, so the counts match.
         assert a == b, f"checked bulk path took {a} lock acquisitions vs {b}"
     else:
         assert a < b, f"bulk path took {a} lock acquisitions vs {b} per-vertex"
@@ -130,8 +131,7 @@ def make_master(workloads, config, last_pairs=None):
     master.transport = transport
     master.config = config
     master.metrics = transport._metrics
-    if last_pairs is not None:
-        master._last_steal_pairs = frozenset(last_pairs)
+    master._last_steal_pairs = frozenset(last_pairs or ())
     return master, workers, transport
 
 
@@ -203,6 +203,5 @@ def test_response_chunk_must_be_positive():
 
 def test_pull_path_defaults():
     c = cfg()
-    assert c.bulk_cache_ops is True
     assert c.response_chunk == 4096
     assert c.idle_backoff_max_s >= c.idle_sleep_s > 0

@@ -81,11 +81,24 @@ def test_mixed_batch_preserves_order():
     assert [type(m) for m in out] == [type(m) for m in msgs]
 
 
-def test_decode_sniffs_pickled_payloads():
+def test_pickled_batch_rejected_without_unpickling(monkeypatch):
+    """A payload without the GTWIRE magic is refused outright: the
+    decoder never hands outside bytes to ``pickle.loads``."""
     msgs = [RequestBatch(src=0, dst=1, vertex_ids=[4, 5])]
     payload = pickle.dumps(msgs, protocol=pickle.HIGHEST_PROTOCOL)
-    out = wire.decode_batch(payload)
-    assert out[0].vertex_ids == [4, 5]
+
+    calls = []
+
+    def no_unpickling(*args, **_kw):
+        # Recorded, not only raised: the decoder normalizes any error
+        # from pickle into WireDecodeError, which would hide a raise.
+        calls.append(args)
+        raise RuntimeError("pickle.loads called on a non-GTWIRE payload")
+
+    monkeypatch.setattr(pickle, "loads", no_unpickling)
+    with pytest.raises(wire.WireDecodeError):
+        wire.decode_batch(payload)
+    assert calls == []
 
 
 def test_binary_response_payload_smaller_than_pickle():
@@ -236,11 +249,6 @@ def test_corrupt_magic_with_unpicklable_tail_raises():
     payload[0] ^= 0xFF  # not MAGIC, not a valid pickle either
     with pytest.raises(wire.WireDecodeError):
         wire.decode_batch(bytes(payload))
-
-
-def test_pickled_non_list_payload_raises():
-    with pytest.raises(wire.WireDecodeError):
-        wire.decode_batch(pickle.dumps({"not": "a batch"}))
 
 
 def test_empty_payload_raises():
